@@ -23,6 +23,7 @@ from .step import CompileEngine, CompileStats
 from .tape import (
     Tape,
     TapeShapeMiss,
+    content_dim,
     host_array,
     leaf,
     recording,
@@ -37,6 +38,7 @@ __all__ = [
     "QuantizedScorer",
     "Tape",
     "TapeShapeMiss",
+    "content_dim",
     "host_array",
     "leaf",
     "recording",

@@ -18,10 +18,12 @@
    exception restores the RNG state, zeroes gradients, reruns the batch
    eagerly, and retires the key.
 
-Shape keys are ``(B, n, k, t, loss divisor, dtype, training)``; models
-that build session graphs get the content-driven distinct-node count
-``c`` appended (learned from the first trace), because every array shape
-downstream of the graph depends on it.
+Shape keys are ``(B, n, k, t, loss divisor, dtype, training)`` plus the
+step's content-driven dims (:func:`~repro.compile.tape.content_dim`:
+each session graph's distinct-node count ``c``, the op encoder's padded
+distinct-row count), learned from the first trace of the base key and
+re-derived from every later batch, because array shapes downstream of
+them depend on them.
 """
 
 from __future__ import annotations
@@ -36,26 +38,12 @@ from ..data.dataset import SessionBatch
 from ..parallel.sharding import collect_rng_modules
 from .tape import Tape, recording
 
-__all__ = ["CompileEngine", "CompileStats", "StagedBatch", "session_node_count"]
+__all__ = ["CompileEngine", "CompileStats", "StagedBatch"]
 
 _BATCH_FIELDS = (
     "items", "item_mask", "ops", "op_mask",
     "micro_items", "micro_ops", "micro_mask", "last_op", "targets",
 )
-
-
-def session_node_count(batch: SessionBatch) -> int:
-    """The distinct-node count ``c`` that ``BatchGraph.from_batch`` would use.
-
-    Mirrors its per-row scan (break at the first masked position) without
-    building any arrays — cheap enough to run per batch as a cache key.
-    """
-    items, mask = batch.items, batch.item_mask
-    n = items.shape[1]
-    prefix = np.cumprod(mask != 0, axis=1).astype(bool)
-    same = (items[:, :, None] == items[:, None, :]) & prefix[:, :, None] & prefix[:, None, :]
-    is_new = (same.argmax(axis=2) == np.arange(n)) & prefix
-    return max(1, int(is_new.sum(axis=1).max()))
 
 
 class StagedBatch:
@@ -81,7 +69,10 @@ class StagedBatch:
 
     def register_into(self, tape: Tape) -> None:
         for name in _BATCH_FIELDS:
-            tape.register(getattr(self.batch, name))
+            tape.register(
+                getattr(self.batch, name),
+                source=lambda batch, memo, name=name: getattr(batch, name),
+            )
         tape.register(self.target_classes)
 
 
@@ -131,7 +122,7 @@ class CompileEngine:
         self.max_tapes = max_tapes
         self.stats = CompileStats()
         self._tapes: OrderedDict[tuple, _CompiledStep] = OrderedDict()
-        self._meta: dict[tuple, str] = {}  # base key -> "flat" | "graph"
+        self._content_keys: dict[tuple, list] = {}  # base key -> content-dim key fns
         self._fallback: set[tuple] = set()
         self._rng_modules = collect_rng_modules(model)
         self._params = list(model.parameters())
@@ -162,16 +153,16 @@ class CompileEngine:
         if base in self._fallback:
             self.stats.eager_steps += 1
             return self._eager(batch, total)
-        full = base
-        if self._meta.get(base) == "graph":
-            full = base + (session_node_count(batch),)
+        keys = self._content_keys.get(base, ())
+        memo: dict = {}
+        full = base + tuple(key(batch, memo) for key in keys)
         entry = self._tapes.get(full)
         if entry is None:
             return self._trace(base, batch, total)
         self._tapes.move_to_end(full)
         if not entry.validated:
-            return self._validate(base, full, entry, batch, total)
-        return self._replay(base, full, entry, batch, total)
+            return self._validate(base, entry, batch, total, memo)
+        return self._replay(base, entry, batch, total, memo)
 
     # -- phases ----------------------------------------------------------
     def _eager(self, batch: SessionBatch, total: int | None) -> float:
@@ -197,12 +188,8 @@ class CompileEngine:
         if reason is not None:
             self._retire(base, reason)
         else:
-            full = base
-            if tape.graph_dims:
-                self._meta[base] = "graph"
-                full = base + (max(tape.graph_dims),)
-            else:
-                self._meta[base] = "flat"
+            self._content_keys[base] = [key for key, _ in tape.content_dims]
+            full = base + tuple(value for _, value in tape.content_dims)
             self._tapes[full] = _CompiledStep(tape, staged, loss, parts.components)
             while len(self._tapes) > self.max_tapes:
                 self._tapes.popitem(last=False)
@@ -210,8 +197,8 @@ class CompileEngine:
         return value
 
     def _validate(
-        self, base: tuple, full: tuple, entry: _CompiledStep,
-        batch: SessionBatch, total: int | None,
+        self, base: tuple, entry: _CompiledStep,
+        batch: SessionBatch, total: int | None, memo: dict,
     ) -> float:
         """Second hit: replay, then rerun eagerly and require bitwise equality.
 
@@ -220,7 +207,7 @@ class CompileEngine:
         """
         snapshot = self._rng_snapshot()
         try:
-            replay_value = self._run_tape(entry, batch)
+            replay_value = self._run_tape(entry, batch, memo)
             replay_grads = [
                 None if p.grad is None else np.array(p.grad) for p in self._params
             ]
@@ -250,12 +237,12 @@ class CompileEngine:
         return value
 
     def _replay(
-        self, base: tuple, full: tuple, entry: _CompiledStep,
-        batch: SessionBatch, total: int | None,
+        self, base: tuple, entry: _CompiledStep,
+        batch: SessionBatch, total: int | None, memo: dict,
     ) -> float:
         snapshot = self._rng_snapshot()
         try:
-            value = self._run_tape(entry, batch)
+            value = self._run_tape(entry, batch, memo)
         except Exception as exc:  # noqa: BLE001 - transactional recovery
             self._restore_rng(snapshot)
             self._zero_grads()
@@ -269,16 +256,20 @@ class CompileEngine:
         return value
 
     # -- replay machinery ------------------------------------------------
-    def _run_tape(self, entry: _CompiledStep, batch: SessionBatch) -> float:
+    def _run_tape(self, entry: _CompiledStep, batch: SessionBatch, memo: dict) -> float:
         entry.staged.copy_from(batch)
         profiler = _tensor._PROFILER
-        if profiler is None:
-            for _, _, fn in entry.tape.slots:
-                fn()
-        else:
-            run_slot = profiler._run_replay_slot
-            for _, name, fn in entry.tape.slots:
-                run_slot(name, fn)
+        entry.tape.memo = memo
+        try:
+            if profiler is None:
+                for _, _, fn in entry.tape.slots:
+                    fn()
+            else:
+                run_slot = profiler._run_replay_slot
+                for _, name, fn in entry.tape.slots:
+                    run_slot(name, fn)
+        finally:
+            entry.tape.memo = {}
         value = float(entry.loss.data)
         loss = entry.loss
         loss.grad = entry.seed

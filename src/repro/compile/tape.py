@@ -16,6 +16,13 @@ slots in order recomputes the step's forward pass in place:
   batch-derived index arrays, dropout masks, session graphs — by
   re-running their builder and copying the result into the traced buffer.
 
+Some shapes depend on batch *content*, not just its padded dims: the
+session graph's distinct-node count, the op encoder's distinct-row count.
+:func:`content_dim` declares such a dim; the tape keeps a key function
+that re-derives it from the engine's next input batch (through the
+``source`` each batch buffer was registered with), so the engine keys
+tapes on it and never replays one against a batch of another shape.
+
 Replay is only sound if every batch-dependent array the step reads is
 refreshed each replay. :meth:`Tape.finalize` enforces that structurally:
 each non-output tensor created during the trace, and each raw array
@@ -31,7 +38,7 @@ stale data.
 from __future__ import annotations
 
 import contextlib
-from typing import Callable
+from typing import Any, Callable
 
 import numpy as np
 
@@ -46,6 +53,7 @@ __all__ = [
     "leaf",
     "static_array",
     "static_leaf",
+    "content_dim",
     "session_graph",
 ]
 
@@ -73,10 +81,15 @@ class Tape:
         self.slots: list[tuple[str, str, Callable[[], None]]] = []
         self.node_count = 0          # graph nodes created during the trace
         self.recorded = 0            # nodes that supplied a replay closure
-        self.graph_dims: list[int] = []  # max_nodes of each session graph built
+        # (key_fn, traced value) per content-driven dim; see content_dim
+        self.content_dims: list[tuple[Callable[[Any, dict], int], int]] = []
+        # The memo the engine's key functions filled for the step being
+        # replayed (empty otherwise): host slots may reuse its entries.
+        self.memo: dict = {}
         self._created: list[Tensor] = []
         self._op_ids: set[int] = set()
         self._registered: list[np.ndarray] = []
+        self._sources: dict[int, Callable[[Any, dict], np.ndarray]] = {}
         self._operands: list[np.ndarray] = []
         self._reject: str | None = None
 
@@ -125,10 +138,33 @@ class Tape:
         """Append a host slot that refreshes non-graph state each replay."""
         self.slots.append(("host", name, fn))
 
-    def register(self, array) -> None:
-        """Declare an array as refreshed-per-replay (or truly static)."""
+    def register(self, array, source: Callable[[Any, dict], np.ndarray] | None = None) -> None:
+        """Declare an array as refreshed-per-replay (or truly static).
+
+        ``source(batch, memo)`` returns the content the array will hold
+        when the step is replayed on the input ``batch`` — the staged
+        batch fields and augmented views supply one, so content dims
+        computed from them can be keyed. ``memo`` is a per-step cache for
+        sources that share an expensive build; the replay that follows
+        sees it as :attr:`memo`, so its host slots need not build again.
+        """
         if isinstance(array, np.ndarray):
             self._registered.append(array)
+            if source is not None:
+                self._sources[id(array)] = source
+
+    def add_content_dim(self, fn: Callable[..., int], arrays, value: int) -> None:
+        """Key the tape on ``fn(*arrays)``, re-derived per input batch."""
+        try:
+            sources = [self._sources[id(a)] for a in arrays]
+        except KeyError:
+            self.reject("a content-driven dim reads an array with no registered source")
+            return
+
+        def key(batch, memo: dict) -> int:
+            return int(fn(*(source(batch, memo) for source in sources)))
+
+        self.content_dims.append((key, value))
 
     def reject(self, reason: str) -> None:
         if self._reject is None:
@@ -198,15 +234,35 @@ def recording(tape: Tape):
 # time), since replays call it against refreshed batch buffers.
 
 
-def host_array(fn: Callable[[], np.ndarray]) -> np.ndarray:
-    """A raw batch-derived array, refreshed in place on every replay."""
+def host_array(fn: Callable[[], Any]) -> Any:
+    """A raw batch-derived array, refreshed in place on every replay.
+
+    ``fn`` may also return a tuple of arrays built together; the helper
+    then returns the tuple. A rebuild whose shapes differ from the traced
+    ones raises :class:`TapeShapeMiss` (the engine keys content-driven
+    shapes with :func:`content_dim`, so this is a defensive backstop).
+    """
     tape = _tensor._TAPE
     if tape is None:
         return fn()
-    buf = np.asarray(fn())
-    tape.register(buf)
-    tape.add_host("host_array", lambda: np.copyto(buf, fn(), casting="unsafe"))
-    return buf
+    built = fn()
+    single = not isinstance(built, tuple)
+    bufs = tuple(np.asarray(a) for a in ((built,) if single else built))
+    for buf in bufs:
+        tape.register(buf)
+
+    def slot() -> None:
+        fresh = fn()
+        for buf, new in zip(bufs, (fresh,) if single else fresh):
+            if buf.shape != np.shape(new):
+                raise TapeShapeMiss(
+                    f"host array changed shape from {buf.shape} to {np.shape(new)} "
+                    "under one tape key"
+                )
+            np.copyto(buf, new, casting="unsafe")
+
+    tape.add_host("host_array", slot)
+    return bufs[0] if single else bufs
 
 
 def leaf(fn: Callable[[], np.ndarray]) -> Tensor:
@@ -245,15 +301,42 @@ def static_leaf(fn: Callable[[], np.ndarray]) -> Tensor:
     return out
 
 
+def content_dim(fn: Callable[..., int], *arrays: np.ndarray) -> None:
+    """Key the recording tape on ``fn(*arrays)``, a dim taken from batch *content*.
+
+    Call it beside the helper whose arrays take that dim. Eager this does
+    nothing. Under a tape it records the traced value and a key function
+    that recomputes ``fn`` from the engine's next input batch (each array
+    must be a batch buffer registered with a ``source``), so the engine
+    replays a tape only on batches that give the same value.
+    """
+    tape = _tensor._TAPE
+    if tape is not None:
+        tape.add_content_dim(fn, arrays, int(fn(*arrays)))
+
+
+def _session_node_count(items: np.ndarray, item_mask: np.ndarray) -> int:
+    """The distinct-node count ``c`` that ``BatchGraph.from_batch`` would use.
+
+    Mirrors its per-row scan (break at the first masked position) without
+    building any arrays — cheap enough to run per batch as a cache key.
+    """
+    n = items.shape[1]
+    prefix = np.cumprod(item_mask != 0, axis=1).astype(bool)
+    same = (items[:, :, None] == items[:, None, :]) & prefix[:, :, None] & prefix[:, None, :]
+    is_new = (same.argmax(axis=2) == np.arange(n)) & prefix
+    return max(1, int(is_new.sum(axis=1).max()))
+
+
 def session_graph(batch, collapse: bool = False):
     """Build a :class:`~repro.graphs.batch_graph.BatchGraph` tape-safely.
 
     Under a tape the graph's arrays are registered, and a host slot
     rebuilds the graph from the (refreshed) batch buffers each replay and
     copies the fresh arrays into the originals. The distinct-node count
-    ``c`` is content-driven, so the engine keys graph tapes by the exact
-    ``c`` — a mismatching rebuild raises :class:`TapeShapeMiss` as a
-    defensive backstop.
+    ``c`` is content-driven, so it is a :func:`content_dim` — a
+    mismatching rebuild raises :class:`TapeShapeMiss` as a defensive
+    backstop.
     """
     from ..graphs.batch_graph import BatchGraph
 
@@ -270,7 +353,7 @@ def session_graph(batch, collapse: bool = False):
     )
     for name in names:
         tape.register(getattr(graph, name))
-    tape.graph_dims.append(graph.max_nodes)
+    content_dim(_session_node_count, batch.items, batch.item_mask)
 
     def slot() -> None:
         fresh = BatchGraph.from_batch(batch)

@@ -75,25 +75,39 @@ class InfoNCEObjective(Objective):
         become persistent registered buffers plus one host slot that
         re-runs the (pure) builder against the refreshed source batch and
         the *current* step context — so replays of later batches augment
-        with their own coordinates, not the traced step's.
+        with their own coordinates, not the traced step's. Each buffer's
+        ``source`` builds the view from the engine's input batch, so the
+        view's content-driven dims join the compile key; the replay slot
+        reuses that build rather than augmenting the batch twice.
         """
 
-        def build() -> dict[str, np.ndarray]:
+        def build(source: SessionBatch) -> dict[str, np.ndarray]:
             ctx = self._ctx
             rng = view_generator(
                 ctx.seed, ctx.epoch, ctx.batch_index, ctx.shard, ctx.retry, view
             )
-            return augment_batch(batch, rng, self.num_ops, self.augment)
+            return augment_batch(source, rng, self.num_ops, self.augment)
 
         tape = _tensor._TAPE
         if tape is None:
-            return SessionBatch(**build())
-        arrays = build()
+            return SessionBatch(**build(batch))
+        arrays = build(batch)
+        memo_key = (id(self), view)
+
+        def built(step_batch: SessionBatch, memo: dict) -> dict[str, np.ndarray]:
+            if memo_key not in memo:
+                memo[memo_key] = build(step_batch)
+            return memo[memo_key]
+
         for name in _VIEW_FIELDS:
-            tape.register(arrays[name])
+            tape.register(
+                arrays[name], source=lambda b, memo, name=name: built(b, memo)[name]
+            )
 
         def slot() -> None:
-            fresh = build()
+            fresh = tape.memo.get(memo_key)
+            if fresh is None:  # no key evaluation built this step's view
+                fresh = build(batch)
             for name in _VIEW_FIELDS:
                 np.copyto(arrays[name], fresh[name])
 

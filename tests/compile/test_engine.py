@@ -4,12 +4,15 @@ Exercises the engine directly (no Trainer) so the per-shape-key state
 machine is observable through ``engine.stats``.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.autograd import no_grad
 from repro.compile.step import CompileEngine
-from repro.core import EMBSRConfig, build_sgnn_self
+from repro.core import EMBSRConfig, build_embsr, build_sgnn_self
+from repro.core.op_encoder import _padded_row_count
 from repro.data.dataset import DataLoader
 
 
@@ -69,6 +72,42 @@ class TestLifecycle:
         engine.step(odd)
         assert engine.stats.traces == traces_before + 1
         assert not engine.stats.fallbacks
+
+    def test_new_row_rung_retraces_without_fallback(self, dataset):
+        """Same padded dims, fewer distinct op sequences: a new content key.
+
+        The op encoder runs its GRU at the padded distinct-row count, a
+        content-driven dim. A batch that lands on another ladder rung must
+        trace its own tape (and later replay it), never reuse the old one
+        or retire the base key.
+        """
+        cfg = EMBSRConfig(
+            num_items=dataset.num_items, num_ops=dataset.num_operations, dim=12, seed=0
+        )
+        engine = CompileEngine(build_embsr(cfg))
+        batch = bucketed_batches(dataset)[0]
+        run_pass(engine, [batch] * 3)
+        assert engine.stats.replays == 1
+        rung_before = _padded_row_count(batch.ops, batch.op_mask)
+
+        uniform = dataclasses.replace(
+            batch,
+            ops=(batch.op_mask > 0).astype(batch.ops.dtype),
+            micro_ops=(batch.micro_mask > 0).astype(batch.micro_ops.dtype),
+            last_op=np.ones_like(batch.last_op),
+        )
+        rung_after = _padded_row_count(uniform.ops, uniform.op_mask)
+        assert rung_after < rung_before
+        (full_before,) = engine._tapes
+        run_pass(engine, [uniform] * 3)
+        assert engine.stats.traces == 2
+        assert engine.stats.replays == 2
+        assert not engine.stats.fallbacks
+        assert engine.stats.eager_steps == 0
+        # Same base key and session-graph size; only the row rung differs.
+        (full_after,) = [key for key in engine._tapes if key != full_before]
+        assert full_before[-1] == rung_before
+        assert full_after == full_before[:-1] + (rung_after,)
 
     def test_losses_match_eager_engine(self, dataset):
         """Every step's loss equals the eager loss on an identical twin."""
