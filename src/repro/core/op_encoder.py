@@ -16,16 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor
-from ..compile.tape import content_dim, host_array
 from ..nn import GRU, Embedding, Module
 from ..perf import fused
 
 __all__ = ["MicroOpEncoder"]
-
-# Row counts the GRU runs at: distinct rows are padded with all-padding
-# rows up to the next rung (capped at B*n), so a compiled step keys on a
-# handful of rungs rather than on every distinct count.
-_ROW_LADDER = (16, 32, 64, 128, 256, 512, 1024, 2048, 4096)
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
@@ -53,37 +47,20 @@ def _sequence_keys(ops: np.ndarray, op_mask: np.ndarray) -> np.ndarray:
     return _row_keys(codes)
 
 
-def _ladder_rows(distinct: int, slots: int) -> int:
-    """The ladder rung ``distinct`` rows are padded to, capped at ``slots`` (B*n)."""
-    return min(next((r for r in _ROW_LADDER if r >= distinct), slots), slots)
-
-
-def _padded_row_count(ops: np.ndarray, op_mask: np.ndarray) -> int:
-    """How many rows the GRU runs at for this batch (the compile key's dim)."""
-    B, n, _ = ops.shape
-    return _ladder_rows(len(np.unique(_sequence_keys(ops, op_mask))), B * n)
-
-
 def _distinct_rows(
     ops: np.ndarray, op_mask: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct rows of [B, n, k] ``(ops, op_mask)``, padded up the ladder.
+    """The distinct rows of [B, n, k] ``(ops, op_mask)``.
 
-    Returns ``(row_ops [rows, k], row_mask [rows, k], slot_row [B, n])``
-    with ``rows == _padded_row_count(ops, op_mask)``; ``slot_row`` indexes
-    each macro slot's sequence. Padding rows are all zero: fully masked,
-    so their final GRU state is ``h0 = 0``.
+    Returns ``(row_ops [U, k], row_mask [U, k], slot_row [B, n])``, where
+    ``U`` is the number of distinct rows and ``slot_row`` indexes each
+    macro slot's sequence.
     """
     B, n, k = ops.shape
     _, first, inverse = np.unique(
         _sequence_keys(ops, op_mask), return_index=True, return_inverse=True
     )
-    rows = _ladder_rows(len(first), B * n)
-    row_ops = np.zeros((rows, k), dtype=np.int64)
-    row_mask = np.zeros((rows, k), dtype=op_mask.dtype)
-    row_ops[: len(first)] = ops.reshape(-1, k)[first]
-    row_mask[: len(first)] = op_mask.reshape(-1, k)[first]
-    return row_ops, row_mask, inverse.reshape(B, n)
+    return ops.reshape(-1, k)[first], op_mask.reshape(-1, k)[first], inverse.reshape(B, n)
 
 
 class MicroOpEncoder(Module):
@@ -117,7 +94,6 @@ class MicroOpEncoder(Module):
             step (zero vectors at padded macro positions, which share the
             fully masked sequence).
         """
-        content_dim(_padded_row_count, ops, op_mask)
-        row_ops, row_mask, slot_row = host_array(lambda: _distinct_rows(ops, op_mask))
-        _, final = self.gru(op_embedding(row_ops), mask=row_mask)  # [rows, d]
+        row_ops, row_mask, slot_row = _distinct_rows(ops, op_mask)
+        _, final = self.gru(op_embedding(row_ops), mask=row_mask)  # [U, d]
         return fused.embedding_lookup(final, slot_row)

@@ -167,9 +167,8 @@ def padded_dims(
 
 
 # Rungs for padded-length bucketing: a dimension is rounded up to the next
-# rung (then to the next multiple of the last rung beyond it). Few rungs =
-# few distinct padded shapes = few compiled tapes (repro.compile) while
-# wasting little padding on short sessions.
+# rung (then to the next multiple of the last rung beyond it), so batches
+# take one of a few padded shapes while short sessions waste little padding.
 _BUCKET_LADDER = (1, 2, 4, 6, 8, 12, 16, 24, 32, 48, 64)
 
 

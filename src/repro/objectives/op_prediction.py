@@ -14,12 +14,6 @@ the operation at ``t+1`` from the GRU state at ``t``. Normalization is
 per-session (the transition-NLL sum divided by the batch's row count), so
 the loss decomposes over the shard grid exactly like cross-entropy with
 ``total``.
-
-This objective gathers a content-driven number of transitions per batch,
-so it is deliberately *not* tape-compatible: under ``--compile`` the tape
-audit rejects the trace (unregistered gather operands) and the step
-trains eagerly — which matches MKM-SR itself, whose direct session-graph
-construction already keeps it on the eager path.
 """
 
 from __future__ import annotations

@@ -88,21 +88,8 @@ class WorkerError(RuntimeError):
     """A data-parallel worker failed or died; tracebacks are on stderr."""
 
 
-def _make_compiled(model, enabled: bool, objective=None):
-    """A fresh :class:`~repro.compile.step.CompileEngine`, or ``None``.
-
-    Imported lazily so the parallel engine has no hard dependency on the
-    compile package at import time.
-    """
-    if not enabled:
-        return None
-    from ..compile.step import CompileEngine
-
-    return CompileEngine(model, objective=objective)
-
-
 def _default_objective():
-    """The cross-entropy objective, imported lazily (same cycle-avoidance)."""
+    """The cross-entropy objective, imported lazily (import-cycle avoidance)."""
     from ..objectives import CrossEntropyObjective
 
     return CrossEntropyObjective()
@@ -124,6 +111,42 @@ def _sum_components(rows: np.ndarray, names: tuple) -> dict:
     return out
 
 
+def _shard_step(
+    grid, rng_modules: list, s: int, shard: SessionBatch | None, *,
+    total_rows: int, epoch: int, batch_index: int, retry: int,
+) -> None:
+    """Shard ``s``'s forward/backward into row ``s`` of ``grid``'s buffers.
+
+    ``grid`` is the :class:`SerialShardExecutor` or the
+    :class:`DataParallelEngine` that owns the per-shard gradient, loss
+    and component rows; both executors run this one body, which is what
+    keeps them bit-identical. An empty shard (``shard is None``)
+    contributes zeros.
+    """
+    from ..objectives import StepContext
+
+    if shard is None:
+        grid._grads[s].fill(0)
+        grid._losses[s] = 0.0
+        grid._components[s].fill(0)
+        return
+    for p in grid._layout.parameters:
+        p.zero_grad()
+    ctx = StepContext(
+        seed=grid.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry
+    )
+    generator = shard_generator(grid.seed, epoch, batch_index, s, retry)
+    with shard_rng(rng_modules, generator):
+        grid.objective.begin_step(ctx)
+        parts = grid.objective.compute(grid.model, shard, total=total_rows)
+        grid._losses[s] = float(parts.loss.item())
+        parts.loss.backward()
+        values = parts.component_values()
+        for j, name in enumerate(grid._component_names):
+            grid._components[s, j] = values.get(name, 0.0)
+    grid._layout.write_grads(grid._grads[s])
+
+
 class SerialShardExecutor:
     """The canonical shard grid, executed sequentially in one process.
 
@@ -134,8 +157,7 @@ class SerialShardExecutor:
     """
 
     def __init__(
-        self, model, *, grad_shards: int, seed: int, compile: bool = False,
-        objective=None,
+        self, model, *, grad_shards: int, seed: int, objective=None
     ) -> None:
         if grad_shards < 1:
             raise ValueError("grad_shards must be >= 1")
@@ -145,7 +167,6 @@ class SerialShardExecutor:
         self.objective = objective if objective is not None else _default_objective()
         self.last_components: dict[str, float] = {}
         self._component_names = tuple(self.objective.component_names)
-        self._compiled = _make_compiled(model, compile, self.objective)
         self._layout = ParamLayout(model.parameters())
         self._rng_modules = collect_rng_modules(model)
         total = self._layout.total
@@ -165,43 +186,15 @@ class SerialShardExecutor:
         losses (each already divided by the full batch size), i.e. the
         whole-batch mean NLL computed through the canonical tree.
         """
-        from ..objectives import StepContext
-
         if batch is None:
             raise ValueError("SerialShardExecutor.compute needs the collated batch")
         total_rows = batch.batch_size
         bounds = shard_bounds(total_rows, self.grad_shards)
         for s, (lo, hi) in enumerate(bounds):
-            if lo == hi:
-                self._grads[s].fill(0)
-                self._losses[s] = 0.0
-                self._components[s].fill(0)
-                continue
-            shard = slice_batch(batch, lo, hi)
-            for p in self._layout.parameters:
-                p.zero_grad()
-            ctx = StepContext(
-                seed=self.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry
+            _shard_step(
+                self, self._rng_modules, s, slice_batch(batch, lo, hi) if lo < hi else None,
+                total_rows=total_rows, epoch=epoch, batch_index=batch_index, retry=retry,
             )
-            generator = shard_generator(self.seed, epoch, batch_index, s, retry)
-            with shard_rng(self._rng_modules, generator):
-                if self._compiled is not None:
-                    # Trace/validate/replay is bitwise the eager step (the
-                    # engine enforces it), so sharded compiled runs keep the
-                    # parity contract with the multi-process engine.
-                    self._losses[s] = self._compiled.step(shard, total=total_rows, ctx=ctx)
-                    comp = self._compiled.last_components
-                    for j, name in enumerate(self._component_names):
-                        self._components[s, j] = comp.get(name, 0.0)
-                else:
-                    self.objective.begin_step(ctx)
-                    parts = self.objective.compute(self.model, shard, total=total_rows)
-                    self._losses[s] = float(parts.loss.item())
-                    parts.loss.backward()
-                    values = parts.component_values()
-                    for j, name in enumerate(self._component_names):
-                        self._components[s, j] = values.get(name, 0.0)
-            self._layout.write_grads(self._grads[s])
         reduce_shards(self._grads, self._acc)
         self._layout.assign_grads(self._acc)
         total_loss = 0.0
@@ -239,7 +232,6 @@ class DataParallelEngine:
         eval_splits: dict | None = None,
         num_items: int = 0,
         timeout: float = 600.0,
-        compile: bool = False,
         objective=None,
     ) -> None:
         if workers < 2:
@@ -256,7 +248,6 @@ class DataParallelEngine:
         self.dtype = dtype
         self.timeout = timeout
         self.num_items = num_items
-        self.compile = compile
         # Resolved before the fork so every worker inherits the identical
         # objective instance (weights, augment knobs, component order).
         self.objective = objective if objective is not None else _default_objective()
@@ -464,9 +455,6 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
     layout = engine._layout
     layout.bind_params(engine._params)
     rng_modules = collect_rng_modules(engine.model)
-    # Each worker owns its own tape cache: shapes repeat per worker just
-    # like per process, and tapes hold process-local buffer references.
-    compiled = _make_compiled(engine.model, engine.compile, engine.objective)
     buffers = CollateBuffers()
     shard_lo, shard_hi = shard_bounds(engine.grad_shards, engine.workers)[worker_id]
     order_cache: dict[int, np.ndarray] = {}
@@ -496,7 +484,7 @@ def _worker_main(engine: DataParallelEngine, worker_id: int) -> None:
                     if cmd == _CMD_TRAIN:
                         _worker_train(
                             engine, rng_modules, buffers, order_cache,
-                            shard_lo, shard_hi, compiled,
+                            shard_lo, shard_hi,
                             epoch=int(ctrl[1]), batch_index=int(ctrl[2]), retry=int(ctrl[3]),
                         )
                     elif cmd == _CMD_EVAL:
@@ -519,15 +507,12 @@ def _worker_train(
     order_cache: dict,
     shard_lo: int,
     shard_hi: int,
-    compiled,
     *,
     epoch: int,
     batch_index: int,
     retry: int,
 ) -> None:
     """Compute this worker's shard range of one batch into the shm rows."""
-    from ..objectives import StepContext
-
     loader = engine.loader
     order = order_cache.get(epoch)
     if order is None:
@@ -541,41 +526,19 @@ def _worker_train(
     total_rows = len(idx)
     bounds = shard_bounds(total_rows, engine.grad_shards)
     dims = loader.subset_dims(idx)
-    model = engine.model
-    model.train()
-    layout = engine._layout
-    names = engine._component_names
+    engine.model.train()
     for s in range(shard_lo, shard_hi):
         lo, hi = bounds[s]
-        if lo == hi:
-            engine._grads[s].fill(0)
-            engine._losses[s] = 0.0
-            engine._components[s].fill(0)
-            continue
         # Collate only this shard's rows, padded to the full batch's
         # dimensions — bit-identical to slicing the whole collated batch.
-        shard = loader.collate_indices(idx[lo:hi], pad_to=dims, buffers=buffers)
-        for p in layout.parameters:
-            p.zero_grad()
-        ctx = StepContext(
-            seed=engine.seed, epoch=epoch, batch_index=batch_index, shard=s, retry=retry
+        shard = (
+            loader.collate_indices(idx[lo:hi], pad_to=dims, buffers=buffers)
+            if lo < hi else None
         )
-        generator = shard_generator(engine.seed, epoch, batch_index, s, retry)
-        with shard_rng(rng_modules, generator):
-            if compiled is not None:
-                engine._losses[s] = compiled.step(shard, total=total_rows, ctx=ctx)
-                comp = compiled.last_components
-                for j, name in enumerate(names):
-                    engine._components[s, j] = comp.get(name, 0.0)
-            else:
-                engine.objective.begin_step(ctx)
-                parts = engine.objective.compute(model, shard, total=total_rows)
-                engine._losses[s] = float(parts.loss.item())
-                parts.loss.backward()
-                values = parts.component_values()
-                for j, name in enumerate(names):
-                    engine._components[s, j] = values.get(name, 0.0)
-        layout.write_grads(engine._grads[s])
+        _shard_step(
+            engine, rng_modules, s, shard,
+            total_rows=total_rows, epoch=epoch, batch_index=batch_index, retry=retry,
+        )
 
 
 def _worker_eval(

@@ -99,8 +99,7 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
         return Tensor(out_data)
 
     def backward() -> None:
-        # Read .data at call time: optimizers rebind parameter arrays, and a
-        # replayed tape runs this closure across many steps.
+        # Read .data at call time: optimizers rebind parameter arrays.
         g = out.grad
         if x.requires_grad:
             x._accumulate(np.matmul(g, weight.data.T))
@@ -114,14 +113,6 @@ def addmm(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     parents = (x, weight) if bias is None else (x, weight, bias)
     out = Tensor._make(out_data, parents, backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            np.matmul(x.data, weight.data, out=out_data)
-            if bias is not None:
-                np.add(out_data, bias.data, out=out_data)
-
-        _tensor._TAPE._record(out, replay)
     return out
 
 
@@ -213,25 +204,6 @@ def gru_cell(
             b_hh._accumulate(dgh.sum(axis=0))
 
     out = Tensor._make(out_data, (x, h, w_ih, w_hh, b_ih, b_hh), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            # Refresh the gate activations captured by the backward closure.
-            h_new2, z2, r2, n2, gh_n2 = _gru_forward_step(
-                x.data, h.data, w_ih.data, w_hh.data, b_ih.data, b_hh.data, d
-            )
-            np.copyto(z, z2)
-            np.copyto(r, r2)
-            np.copyto(n, n2)
-            np.copyto(gh_n, gh_n2)
-            if mask_col is not None:
-                np.multiply(mask_col, h_new2, out=out_data)
-                np.add(out_data, (1.0 - mask_col) * h.data, out=out_data)
-            else:
-                np.copyto(out_data, h_new2)
-
-        operands = () if mask_col is None else (mask_col,)
-        _tensor._TAPE._record(out, replay, operands=operands)
     return out
 
 
@@ -287,7 +259,7 @@ def gru_sequence(
 
     def backward() -> None:
         # Re-read parameter/input arrays at call time — optimizers rebind
-        # ``p.data``, and a replayed tape reuses this closure across steps.
+        # ``p.data``.
         x_data = x.data
         w_ih_d, w_hh_d = w_ih.data, w_hh.data
         h_first = h0.data if h0 is not None else h0_data
@@ -338,30 +310,6 @@ def gru_sequence(
     if h0 is not None:
         parents.append(h0)
     out = Tensor._make(out_data, tuple(parents), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            xd = x.data
-            wi, wh, bi, bh = w_ih.data, w_hh.data, b_ih.data, b_hh.data
-            if m_cols is not None:
-                np.copyto(m_cols[..., 0], mask)  # refresh mask snapshot
-            h_prev = h0.data if h0 is not None else h0_data
-            for t in range(T):
-                h_new, z, r, n, gh_n = _gru_forward_step(xd[:, t, :], h_prev, wi, wh, bi, bh, d)
-                if m_cols is not None:
-                    m = m_cols[:, t, :]
-                    h_prev = m * h_new + (1.0 - m) * h_prev
-                else:
-                    h_prev = h_new
-                out_data[:, t, :] = h_prev
-                # copy into the buffers the backward closure captured
-                np.copyto(zs[t], z)
-                np.copyto(rs[t], r)
-                np.copyto(ns[t], n)
-                np.copyto(gh_ns[t], gh_n)
-
-        operands = () if mask is None else (mask,)
-        _tensor._TAPE._record(out, replay, operands=operands)
     return out
 
 
@@ -394,7 +342,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
     reused across steps — embedding tables are the largest tensors in
     every model here, so this is the single biggest allocation saved.
     """
-    idx_src = indices
     indices = np.asarray(indices, dtype=np.int64)
     out_data = np.take(weight.data, indices, axis=0)
     if not _tracking(weight):
@@ -421,15 +368,6 @@ def embedding_lookup(weight: Tensor, indices: np.ndarray) -> Tensor:
         _scatter_add_rows(weight.grad, indices, g)
 
     out = Tensor._make(out_data, (weight,), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if idx_src is not indices:
-                # the int64 cast copied; refresh it from the live source
-                np.copyto(indices, idx_src, casting="unsafe")
-            np.take(weight.data, indices, axis=0, out=out_data)
-
-        _tensor._TAPE._record(out, replay, operands=(idx_src,))
     return out
 
 
@@ -458,7 +396,6 @@ def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
     scalars. Same math, different summation order — parity with the
     composed version holds to roundoff, not bit-exactly.
     """
-    ids_src = rel_ids
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
     projected = np.matmul(q.data, table.data.T)  # [B, T, R]
@@ -476,15 +413,6 @@ def relation_scores(q: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor:
             table._accumulate(flat.T @ q_data.reshape(-1, q_data.shape[-1]))
 
     out = Tensor._make(out_data, (q, table), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if ids_src is not rel_ids:
-                np.copyto(rel_ids, ids_src, casting="unsafe")
-            np.matmul(q.data, table.data.T, out=projected)
-            np.copyto(out_data, np.take_along_axis(projected, rel_ids, axis=2))
-
-        _tensor._TAPE._record(out, replay, operands=(ids_src,))
     return out
 
 
@@ -496,7 +424,6 @@ def relation_values(alpha: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor
     gather, no giant broadcast multiply, and the backward scatters scalars
     instead of d-vectors.
     """
-    ids_src = rel_ids
     rel_ids = np.asarray(rel_ids, dtype=np.int64)
     R = table.data.shape[0]
     bucketed = _scatter_relations(alpha.data, rel_ids, R)  # [B, T, R]
@@ -513,15 +440,6 @@ def relation_values(alpha: Tensor, table: Tensor, rel_ids: np.ndarray) -> Tensor
             table._accumulate(bucketed.reshape(-1, R).T @ g.reshape(-1, g.shape[-1]))
 
     out = Tensor._make(out_data, (alpha, table), backward)
-    if _tensor._TAPE is not None:
-
-        def replay() -> None:
-            if ids_src is not rel_ids:
-                np.copyto(rel_ids, ids_src, casting="unsafe")
-            np.copyto(bucketed, _scatter_relations(alpha.data, rel_ids, R))
-            np.matmul(bucketed, table.data, out=out_data)
-
-        _tensor._TAPE._record(out, replay, operands=(ids_src,))
     return out
 
 
@@ -540,7 +458,6 @@ def log_softmax_nll(logits: Tensor, targets: np.ndarray, total: int | None = Non
     divide by the full batch size, so summing shard losses in fixed order
     reproduces the whole-batch mean objective.
     """
-    tgt_src = targets
     targets = np.asarray(targets, dtype=np.int64)
     batch = logits.data.shape[0]
     divisor = batch if total is None else int(total)
@@ -562,20 +479,4 @@ def log_softmax_nll(logits: Tensor, targets: np.ndarray, total: int | None = Non
         logits._accumulate(d_logits)
 
     out = Tensor._make(np.asarray(out_data), (logits,), backward)
-    if _tensor._TAPE is not None:
-        dst = out.data  # 0-d loss buffer
-
-        def replay() -> None:
-            if tgt_src is not targets:
-                np.copyto(targets, tgt_src, casting="unsafe")
-            ld = logits.data
-            np.subtract(ld, ld.max(axis=1, keepdims=True), out=shifted)
-            np.log(np.exp(shifted).sum(axis=1, keepdims=True), out=lse)
-            lpt = shifted[rows, targets] - lse[:, 0]
-            if divisor == batch:
-                dst[...] = -lpt.mean()
-            else:
-                dst[...] = -(lpt.sum() / divisor)
-
-        _tensor._TAPE._record(out, replay, operands=(tgt_src,))
     return out

@@ -1,9 +1,9 @@
-"""Length bucketing: padded-dim quantization for compiled-step shape reuse.
+"""Length bucketing: padded-dim quantization.
 
 ``bucket_lengths=True`` rounds each collated batch's padded dims up the
-``_BUCKET_LADDER`` so the compile engine sees a handful of repeating shape
-keys instead of one per ragged batch. Padding is math-bearing (dropout
-masks take the padded shape), so the flag is resume-critical — but it must
+``_BUCKET_LADDER``, so batches take a handful of repeating padded shapes
+instead of one per ragged batch. Padding is math-bearing (dropout masks
+take the padded shape), so the flag is resume-critical — but it must
 never touch *which* examples land in which batch.
 """
 

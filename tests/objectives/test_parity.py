@@ -6,16 +6,16 @@ Two contracts:
   the *same computation* it was before objectives existed. The hashes below
   were produced by the pre-refactor trainer (sha256 over the sorted state
   dict plus the per-epoch (epoch, train_loss, valid_metric) history) and
-  must never drift — on the eager, compiled, and 2-worker paths alike.
-  Note the compiled golden trains with ``bucket_lengths=True``: bucketing
+  must never drift — on the eager, bucketed, and 2-worker paths alike.
+  The bucketed golden trains with ``bucket_lengths=True``: bucketing
   changes padding and is math-bearing, so it is part of the golden's key.
   The EMBSR hashes were re-pinned when the micro-op GRU started running
   once per distinct operation sequence: its weight-gradient sums now run
   over distinct rows, which moves the last bits (``max|Δ| = 2.2e-16``
   after two epochs). ``tests/core/test_op_encoder_oracle.py`` proves the
   encoder computes the same function and gradients as before.
-* **InfoNCE parity.** The contrastive objective is tape- and shard-
-  compatible: eager, trace/replay, and N-worker training are bitwise equal.
+* **InfoNCE parity.** The contrastive objective is shard-compatible:
+  serial-shard and N-worker training are bitwise equal.
 """
 
 import hashlib
@@ -27,15 +27,15 @@ from repro.eval import ExperimentConfig, ExperimentRunner
 
 GOLDEN = {
     ("EMBSR", "eager"): "13fc8d2e8ef32429c6c4ed25d99ba7304f7d4fc8b9252ced5fdfb76f11221bd5",
-    ("EMBSR", "compiled"): "f628f8182284a3754a17258da140ee507a53ee70e34f6989741c000f753c555f",
+    ("EMBSR", "bucketed"): "f628f8182284a3754a17258da140ee507a53ee70e34f6989741c000f753c555f",
     ("EMBSR", "workers2"): "56b373332e9573fa52b5a73b6b04d584fd7fa0d5a75ba24199f6ac953e5184bc",
     ("NARM", "eager"): "de8b22390d27433b11808a36de9a70bfe7a5f0e99fb1bbb44c0978c7eddc6527",
-    ("NARM", "compiled"): "cdc65f1312ef9a7000b347f923fdcd50fa36dcc8783db1262b0aabc8fd11ffa7",
+    ("NARM", "bucketed"): "cdc65f1312ef9a7000b347f923fdcd50fa36dcc8783db1262b0aabc8fd11ffa7",
     ("NARM", "workers2"): "032a8feada6038f98d28caef848faeeb7d545d23e49d7d8a02af81df91300bed",
 }
 MODES = {
     "eager": {},
-    "compiled": {"compile": True, "bucket_lengths": True},
+    "bucketed": {"bucket_lengths": True},
     "workers2": {"workers": 2, "grad_shards": 2},
 }
 
@@ -83,87 +83,7 @@ class TestGoldenCrossEntropy:
 
 
 class TestInfoNCEParity:
-    def test_ssl_compiled_is_bitwise_eager(self, dataset):
-        eager = fit(dataset, "EMBSR-SSL")
-        compiled = fit(dataset, "EMBSR-SSL", compile=True)
-        assert_same_params(state_of(eager), state_of(compiled))
-
-    def test_ssl_compiled_bucketed_is_bitwise_eager_bucketed(self, dataset):
-        eager = fit(dataset, "EMBSR-SSL", bucket_lengths=True)
-        compiled = fit(dataset, "EMBSR-SSL", compile=True, bucket_lengths=True)
-        assert_same_params(state_of(eager), state_of(compiled))
-
     def test_ssl_two_workers_is_bitwise_serial(self, dataset):
         serial = fit(dataset, "EMBSR-SSL", grad_shards=2)
         workers = fit(dataset, "EMBSR-SSL", workers=2, grad_shards=2)
         assert_same_params(state_of(serial), state_of(workers))
-
-    def test_ssl_actually_replays_under_compile(self, dataset):
-        """Trace/replay must engage for the composite objective, not fall
-        back to eager (the scalar-loss tape-replay regression guard)."""
-        engine, model, run_epoch = _ssl_compile_engine(dataset)
-        for epoch in range(3):
-            run_epoch(epoch)
-        assert engine.stats.replays > 0
-        assert engine.stats.eager_steps == 0
-        assert not engine.stats.fallbacks
-        assert set(engine.last_components) == {"ce", "infonce"}
-
-    def test_ssl_replay_augments_each_view_once(self, dataset, monkeypatch):
-        """The compile key needs each augmented view; its replay slot
-        reuses that build instead of augmenting the batch again."""
-        from repro.objectives import contrastive
-
-        calls = []
-        real = contrastive.augment_batch
-        monkeypatch.setattr(
-            contrastive, "augment_batch", lambda *a, **kw: calls.append(1) or real(*a, **kw)
-        )
-        per_replay = []
-
-        def on_step(before: int) -> None:
-            if engine.stats.replays > before:
-                per_replay.append(len(calls))
-            calls.clear()
-
-        engine, _, run_epoch = _ssl_compile_engine(dataset, on_step)
-        for epoch in range(3):
-            run_epoch(epoch)
-        assert per_replay and set(per_replay) == {2}
-
-
-def _ssl_compile_engine(dataset, on_step=None):
-    """A compiled EMBSR-SSL engine and a function that runs one bucketed epoch.
-
-    ``on_step(replays_before)`` is called after every step.
-    """
-    from repro.compile.step import CompileEngine
-    from repro.data.dataset import DataLoader
-    from repro.objectives import StepContext, build_objective
-    from repro.registry import REGISTRY
-
-    spec = REGISTRY.spec_for(
-        "EMBSR-SSL",
-        num_items=dataset.num_items,
-        num_ops=dataset.num_operations,
-        dim=12,
-        seed=5,
-        dtype="float64",
-    )
-    model = REGISTRY.build_module(spec)
-    model.train()
-    objective = build_objective("ssl", cl_weight=0.1, num_ops=dataset.num_operations)
-    engine = CompileEngine(model, objective=objective)
-    loader = DataLoader(dataset.train, batch_size=32, shuffle=True, seed=5, bucket_lengths=True)
-
-    def run_epoch(epoch: int) -> None:
-        loader.set_epoch(epoch)
-        for i, batch in enumerate(loader):
-            for p in model.parameters():
-                p.zero_grad()
-            replays = engine.stats.replays
-            engine.step(batch, ctx=StepContext(seed=5, epoch=epoch, batch_index=i))
-            if on_step is not None:
-                on_step(replays)
-
-    return engine, model, run_epoch

@@ -6,7 +6,7 @@ import pytest
 from repro import reliability as rel
 from repro.core import EMBSRConfig, build_sgnn_self
 from repro.eval import TrainConfig, Trainer
-from repro.reliability import load_training_state
+from repro.reliability import load_training_state, save_training_state
 
 TRAIN = dict(epochs=3, lr=0.01, seed=1)
 
@@ -28,34 +28,61 @@ def assert_same_params(a, b):
         assert np.array_equal(a[name], b[name]), f"parameter {name} differs"
 
 
+def kill_mid_epoch_and_resume(dataset, tmp_path, train, edit_state=None):
+    """Crash mid-epoch 1, resume, and compare with an uninterrupted run.
+
+    ``edit_state(state)`` may rewrite the crashed run's training-state
+    file before the resume reads it.
+    """
+    baseline = Trainer(new_model(dataset), TrainConfig(**train))
+    baseline.fit(dataset)
+
+    per_epoch = batches_per_epoch(dataset)
+    assert per_epoch >= 2, "dataset too small to crash mid-epoch"
+    # Crash in the middle of epoch 1, with a checkpoint after every batch.
+    crash_after = per_epoch + max(1, per_epoch // 2)
+    state_path = tmp_path / "train_state.npz"
+    reliable = TrainConfig(**train, checkpoint_path=str(state_path), checkpoint_every=1)
+
+    crashed = Trainer(new_model(dataset), reliable)
+    rel.arm("trainer.after_batch", rel.crashing(), skip=crash_after)
+    with pytest.raises(rel.SimulatedCrash):
+        crashed.fit(dataset)
+    rel.disarm("trainer.after_batch")
+    assert state_path.exists()
+    if edit_state is not None:
+        state = load_training_state(state_path)
+        edit_state(state)
+        save_training_state(state_path, state)
+
+    resumed = Trainer(new_model(dataset), reliable)
+    resumed.resume(dataset, state_path)
+
+    assert_same_params(baseline.model.state_dict(), resumed.model.state_dict())
+    assert [(h.epoch, h.train_loss, h.valid_metric) for h in baseline.history] == [
+        (h.epoch, h.train_loss, h.valid_metric) for h in resumed.history
+    ]
+
+
 class TestKillAndResume:
     def test_mid_epoch_kill_resume_is_bit_identical(self, dataset, tmp_path):
         """The acceptance criterion: kill -9 mid-epoch, resume, and end with
         exactly the parameters an uninterrupted run produces."""
-        baseline = Trainer(new_model(dataset), TrainConfig(**TRAIN))
-        baseline.fit(dataset)
+        kill_mid_epoch_and_resume(dataset, tmp_path, TRAIN)
 
-        per_epoch = batches_per_epoch(dataset)
-        assert per_epoch >= 2, "dataset too small to crash mid-epoch"
-        # Crash in the middle of epoch 1, with a checkpoint after every batch.
-        crash_after = per_epoch + max(1, per_epoch // 2)
-        state_path = tmp_path / "train_state.npz"
-        reliable = TrainConfig(**TRAIN, checkpoint_path=str(state_path), checkpoint_every=1)
+    def test_bucketed_resume_of_a_compile_era_state_is_bit_identical(
+        self, dataset, tmp_path
+    ):
+        """Training-state files written while ``TrainConfig`` still had a
+        ``compile`` field carry ``"compile": true`` in their saved config;
+        a bucketed run must still resume from one bit-identically."""
 
-        crashed = Trainer(new_model(dataset), reliable)
-        rel.arm("trainer.after_batch", rel.crashing(), skip=crash_after)
-        with pytest.raises(rel.SimulatedCrash):
-            crashed.fit(dataset)
-        rel.disarm("trainer.after_batch")
-        assert state_path.exists()
+        def mark_compiled(state):
+            state.config["compile"] = True
 
-        resumed = Trainer(new_model(dataset), reliable)
-        resumed.resume(dataset, state_path)
-
-        assert_same_params(baseline.model.state_dict(), resumed.model.state_dict())
-        assert [(h.epoch, h.train_loss, h.valid_metric) for h in baseline.history] == [
-            (h.epoch, h.train_loss, h.valid_metric) for h in resumed.history
-        ]
+        kill_mid_epoch_and_resume(
+            dataset, tmp_path, {**TRAIN, "bucket_lengths": True}, edit_state=mark_compiled
+        )
 
     def test_epoch_boundary_kill_resume_is_bit_identical(self, dataset, tmp_path):
         baseline = Trainer(new_model(dataset), TrainConfig(**TRAIN))

@@ -67,6 +67,19 @@ class TestParser:
         )
         assert args.trace == "t.json"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--dataset", "d.json", "--model", "EMBSR", "--compile"],
+            ["profile", "--dataset", "d.json", "--model", "EMBSR", "--compiled"],
+        ],
+    )
+    def test_removed_compile_flags_are_usage_errors(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_artifacts_created(self, pipeline_files):
