@@ -10,7 +10,10 @@ worker threads then request top-K rankings two ways:
 * **batched** — requests go through :class:`MicroBatcher`, so up to
   ``max_batch_size`` concurrent requests share one model call.
 
-Throughput and latency are reported per concurrency level, an HTTP
+Throughput and latency are reported per concurrency level, together with
+the batched leg's ``batcher_batch_size`` sum and count (their ratio is
+the mean requests per model call, a steadier sign of coalescing than
+rps on a noisy machine). An HTTP
 load-generator leg exercises the full gateway (cache + admission +
 metrics), and everything lands in
 ``benchmarks/results/serving_throughput.json`` for trajectory tracking.
@@ -45,6 +48,7 @@ from repro.retrieval import IndexSpec, build_index, recall_frontier, sample_quer
 from repro.serve import RecommenderService
 from repro.serving import (
     GatewayConfig,
+    MetricsRegistry,
     MicroBatcher,
     PopularityFallback,
     ServingGateway,
@@ -61,7 +65,6 @@ CONCURRENCY_LEVELS = (4, 16, 32)
 REQUESTS_PER_WORKER = 20 if FAST else 40
 LIVE_SESSIONS = 64
 TOP_K = 10
-MAX_WAIT_MS = 0.5  # low-latency batching window
 
 # Retrieval cell: catalogue sizes no trainable dataset here reaches.
 RETRIEVAL_ITEMS = 200_000 if FAST else 1_000_000
@@ -149,13 +152,18 @@ def bench_modes(service) -> dict:
 
     out: dict[str, dict] = {}
     for workers in CONCURRENCY_LEVELS:
+        registry = MetricsRegistry()
         batcher = MicroBatcher(
-            service, max_batch_size=64, max_wait_ms=MAX_WAIT_MS, max_queue_depth=1024, lock=service_lock
+            service, max_batch_size=64, max_queue_depth=1024, registry=registry, lock=service_lock
         ).start()
         try:
             batched = _drive(workers, lambda sid: batcher.submit(sid, k=TOP_K).result(timeout=30))
         finally:
             batcher.stop()
+        sizes = registry.snapshot()["batcher_batch_size"]
+        batched["batch_size_sum"] = sizes["sum"]
+        batched["batch_size_count"] = sizes["count"]
+        batched["batch_size_mean"] = round(sizes["sum"] / sizes["count"], 2)
         unbatched_stats = _drive(workers, unbatched)
         speedup = (
             batched["throughput_rps"] / unbatched_stats["throughput_rps"]
@@ -170,6 +178,7 @@ def bench_modes(service) -> dict:
         print(
             f"concurrency {workers:>3}: unbatched {unbatched_stats['throughput_rps']:>8.1f} rps"
             f" | batched {batched['throughput_rps']:>8.1f} rps | speedup {speedup:.2f}x"
+            f" | mean batch {batched['batch_size_mean']:.2f}"
         )
     return out
 
@@ -178,7 +187,7 @@ def bench_gateway(dataset, service) -> dict:
     """One HTTP load-generator run against the full gateway stack."""
     gateway = ServingGateway(
         service,
-        GatewayConfig(max_batch_size=64, max_wait_ms=MAX_WAIT_MS, deadline_ms=1000.0),
+        GatewayConfig(max_batch_size=64, deadline_ms=1000.0),
         fallback=PopularityFallback(dataset),
     )
     items = [dataset.vocab.decode(d) for d in range(1, min(50, dataset.num_items) + 1)]

@@ -5,11 +5,14 @@ size B than at batch size 1 (one NumPy forward amortizes all Python/op
 overhead across B sessions), so the gateway never calls the model
 per-request. Handler threads :meth:`~MicroBatcher.submit` requests into a
 bounded queue and block on a :class:`BatchFuture`; a single scorer thread
-drains the queue into batches, flushing when either ``max_batch_size``
-requests are waiting or the oldest request has waited ``max_wait_ms``
-(the classic size-or-timeout trigger pair). A full queue rejects
-immediately with :class:`QueueFullError` — backpressure for the admission
-layer to convert into HTTP 429s.
+drains the queue into batches. The scorer is work-conserving: it takes
+whatever queued while the previous batch was being scored and flushes it
+at once, waiting for more only while the batch is smaller than the
+previous flush, and never longer than the previous flush's model call
+took. A request therefore never waits longer for company than it would
+have waited behind a busy scorer, and there is no fixed window to tune.
+A full queue rejects immediately with :class:`QueueFullError` —
+backpressure for the admission layer to convert into HTTP 429s.
 """
 
 from __future__ import annotations
@@ -69,10 +72,11 @@ class _Request:
     exclude_seen: bool
     future: BatchFuture = field(default_factory=BatchFuture)
     expires_at: float | None = None  # monotonic; worker skips dead requests
+    submitted_at: float = field(default_factory=time.monotonic)
 
 
 class MicroBatcher:
-    """Size-or-timeout request coalescer in front of ``top_k_batch``.
+    """Work-conserving request coalescer in front of ``top_k_batch``.
 
     Parameters
     ----------
@@ -80,15 +84,13 @@ class MicroBatcher:
         Anything exposing ``top_k_batch(session_ids, k, exclude_seen)`` —
         normally a :class:`~repro.serve.RecommenderService`.
     max_batch_size:
-        Flush as soon as this many requests are collected.
-    max_wait_ms:
-        Flush at most this long after the first request of a batch arrived;
-        bounds the latency cost of coalescing.
+        Upper bound on the requests scored in one flush.
     max_queue_depth:
         Bound on requests waiting to be batched; beyond it ``submit``
         raises :class:`QueueFullError`.
     registry:
-        Optional :class:`MetricsRegistry` for batch-size / flush metrics.
+        Optional :class:`MetricsRegistry` for batch-size, queue-wait and
+        model-call metrics.
     lock:
         Optional lock held around every ``top_k_batch`` call, shared with
         whatever mutates the service (the gateway's ingest path).
@@ -104,7 +106,6 @@ class MicroBatcher:
         self,
         service,
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue_depth: int = 256,
         registry: MetricsRegistry | None = None,
         lock: threading.Lock | None = None,
@@ -114,11 +115,20 @@ class MicroBatcher:
             raise ValueError("max_batch_size must be positive")
         self.service = service
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.caller = caller
         self.lock = lock or threading.Lock()
-        self._queue: queue.Queue[_Request | None] = queue.Queue(maxsize=max_queue_depth)
+        # Holds requests and stop sentinels; a sentinel is the stop flag of
+        # the worker it was queued for, so a restarted worker that takes a
+        # stale one stops the old worker, not itself.
+        self._queue: queue.Queue[_Request | threading.Event] = queue.Queue(
+            maxsize=max_queue_depth
+        )
         self._thread: threading.Thread | None = None
+        self._stopping = threading.Event()
+        # The previous flush's size and model-call seconds bound how long
+        # the next gather waits for company; the first gather never waits.
+        self._last_size = 1
+        self._last_score_s = 0.0
         registry = registry or MetricsRegistry()
         self._flushes = registry.counter("batcher_flushes_total", "model calls made")
         self._batched = registry.counter("batcher_requests_total", "requests scored")
@@ -127,17 +137,37 @@ class MicroBatcher:
             "batcher_batch_size", "requests per flush", buckets=(1, 2, 4, 8, 16, 32, 64, 128)
         )
         self._depth = registry.gauge("batcher_queue_depth", "requests waiting")
+        self._queue_wait = registry.histogram(
+            "batcher_queue_wait_ms", "submit to start of flush, milliseconds"
+        )
+        self._score_ms = registry.histogram(
+            "batcher_score_ms", "model calls per flush incl. retries, milliseconds"
+        )
 
     # ------------------------------------------------------------------
     def start(self) -> "MicroBatcher":
         if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(target=self._run, name="micro-batcher", daemon=True)
+            self._stopping = threading.Event()
+            self._thread = threading.Thread(
+                target=self._run, args=(self._stopping,), name="micro-batcher", daemon=True
+            )
             self._thread.start()
         return self
 
     def stop(self, timeout: float = 5.0) -> None:
+        """Stop the worker, waiting at most ``timeout`` seconds for it.
+
+        The worker's stop flag is queued as a sentinel behind pending
+        requests, so the worker scores them first and sets the flag when
+        it meets it. If the queue is full the flag is set here instead,
+        and the worker exits after its current flush, so ``stop`` never
+        blocks on the queue.
+        """
         if self._thread is not None:
-            self._queue.put(None)
+            try:
+                self._queue.put_nowait(self._stopping)
+            except queue.Full:
+                self._stopping.set()
             self._thread.join(timeout)
             self._thread = None
 
@@ -166,23 +196,33 @@ class MicroBatcher:
         return request.future
 
     # ------------------------------------------------------------------
-    def _collect(self) -> list[_Request] | None:
-        """Block for a first request, then gather until size/timeout; None = stop."""
+    def _collect(self) -> list[_Request]:
+        """Block for a first request, take what is queued, maybe wait for more.
+
+        Everything already queued joins the batch, up to ``max_batch_size``.
+        Beyond that the gather waits only while the batch is smaller than
+        the previous flush, and never longer than that flush's model call
+        took, so a lone request after a lone flush is scored at once. A
+        stop sentinel ends the gather; it is set, and the batch is flushed.
+        """
         first = self._queue.get()
-        if first is None:
-            return None
+        if isinstance(first, threading.Event):
+            first.set()
+            return []
         batch = [first]
-        deadline = time.monotonic() + self.max_wait_ms / 1000.0
+        target = min(self._last_size, self.max_batch_size)
+        deadline = time.monotonic() + self._last_score_s
         while len(batch) < self.max_batch_size:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
+            remaining = deadline - time.monotonic() if len(batch) < target else 0.0
             try:
-                nxt = self._queue.get(timeout=remaining)
+                if remaining > 0:
+                    nxt = self._queue.get(timeout=remaining)
+                else:
+                    nxt = self._queue.get_nowait()
             except queue.Empty:
                 break
-            if nxt is None:  # stop requested mid-gather: flush, then exit
-                self._queue.put(None)
+            if isinstance(nxt, threading.Event):
+                nxt.set()
                 break
             batch.append(nxt)
         self._depth.set(self._queue.qsize())
@@ -191,8 +231,11 @@ class MicroBatcher:
     def flush(self, batch: list[_Request]) -> None:
         """Score one gathered batch and resolve every request's future."""
         now = time.monotonic()
+        self._last_size = len(batch)
+        self._last_score_s = 0.0
         live: list[_Request] = []
         for request in batch:
+            self._queue_wait.observe((now - request.submitted_at) * 1000.0)
             if request.expires_at is not None and now > request.expires_at:
                 self._expired.inc()
                 request.future.set_error(DeadlineExceededError("expired before scoring"))
@@ -208,6 +251,7 @@ class MicroBatcher:
         groups: dict[tuple[int, bool], list[_Request]] = {}
         for request in live:
             groups.setdefault((request.k, request.exclude_seen), []).append(request)
+        started = time.monotonic()
         for (k, exclude_seen), members in groups.items():
             session_ids = [m.session_id for m in members]
 
@@ -228,10 +272,11 @@ class MicroBatcher:
                 continue
             for member in members:
                 member.future.set_result(results[member.session_id])
+        self._last_score_s = time.monotonic() - started
+        self._score_ms.observe(self._last_score_s * 1000.0)
 
-    def _run(self) -> None:
-        while True:
+    def _run(self, stopping: threading.Event) -> None:
+        while not stopping.is_set():
             batch = self._collect()
-            if batch is None:
-                return
-            self.flush(batch)
+            if batch:
+                self.flush(batch)

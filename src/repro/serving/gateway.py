@@ -66,7 +66,6 @@ class GatewayConfig:
         host: str = "127.0.0.1",
         port: int = 0,  # 0 = ephemeral, read the bound port from .port
         max_batch_size: int = 32,
-        max_wait_ms: float = 5.0,
         max_queue_depth: int = 256,
         deadline_ms: float = 250.0,
         cache_ttl: float = 30.0,
@@ -81,7 +80,6 @@ class GatewayConfig:
         self.host = host
         self.port = port
         self.max_batch_size = max_batch_size
-        self.max_wait_ms = max_wait_ms
         self.max_queue_depth = max_queue_depth
         self.deadline_ms = deadline_ms
         self.cache_ttl = cache_ttl
@@ -164,7 +162,6 @@ class ServingGateway:
         self.batcher = MicroBatcher(
             service,
             max_batch_size=self.config.max_batch_size,
-            max_wait_ms=self.config.max_wait_ms,
             max_queue_depth=self.config.max_queue_depth,
             registry=self.registry,
             lock=self.service_lock,

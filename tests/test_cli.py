@@ -72,6 +72,7 @@ class TestParser:
         [
             ["train", "--dataset", "d.json", "--model", "EMBSR", "--compile"],
             ["profile", "--dataset", "d.json", "--model", "EMBSR", "--compiled"],
+            ["serve", "--max-wait-ms", "5"],
         ],
     )
     def test_removed_compile_flags_are_usage_errors(self, argv, capsys):
